@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -354,5 +355,44 @@ func TestCoordinatorBatchValidation(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range shard: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestMixedModeRejectedEverywhere: a query that sets planner fields
+// next to per-request orders is refused with one and the same 400 body
+// by a node and by a coordinator, buffered and streamed — the error is
+// built once, so the four routes cannot drift apart.
+func TestMixedModeRejectedEverywhere(t *testing.T) {
+	tc := newTestCluster(t, 2, fixtureSpec("mix", fixtureRows(20, 3)))
+	const body = `{"orders":[{"edges":[["d","a"]]},{"edges":[["t3","t1"]]}],"topK":3}`
+	var want string
+	for _, base := range []string{tc.single.URL, tc.co.URL} {
+		for _, suffix := range []string{"", "?stream=1"} {
+			url := base + "/tables/mix/query" + suffix
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400 (body %s)", url, resp.StatusCode, got)
+			}
+			if want == "" {
+				want = string(got)
+				for _, field := range []string{"topK", "fweights", "noCache", "orders/baseline"} {
+					if !strings.Contains(want, field) {
+						t.Errorf("mixed-mode error %q does not name %s", want, field)
+					}
+				}
+				continue
+			}
+			if string(got) != want {
+				t.Errorf("%s: body %q, want %q", url, got, want)
+			}
+		}
 	}
 }

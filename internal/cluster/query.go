@@ -30,14 +30,13 @@ type candidate struct {
 // gather is a compiled scatter/gather pass: how to query one shard and
 // how to interpret its rows for the merge.
 type gather struct {
-	ct       *ctable
-	keptTO   []int           // kept TO dims (identity when no subspace)
-	keptPO   []int           // kept PO dims
-	doms     []*poset.Domain // dominance oracle, one per kept PO dim
-	ideal    []int64         // non-nil: |v−ideal| transform (fully dynamic)
-	stats    []serve.TableStatsInfo
-	prune    bool // statistics-driven shard pruning applies
-	noKernel bool // merge with the scalar reference pass (request noKernel)
+	ct     *ctable
+	keptTO []int           // kept TO dims (identity when no subspace)
+	keptPO []int           // kept PO dims
+	doms   []*poset.Domain // dominance oracle, one per kept PO dim
+	ideal  []int64         // non-nil: |v−ideal| transform (fully dynamic)
+	stats  []serve.TableStatsInfo
+	prune  bool // statistics-driven shard pruning applies
 	// noElim keeps the gathered union un-eliminated: a UnionRanker
 	// (skyline layers) needs every shard-local row — cross-shard
 	// dominance elimination would discard the deeper layers.
@@ -280,7 +279,7 @@ func (g *gather) run(ctx context.Context, co *Coordinator) (*gathered, error) {
 	if g.noElim {
 		out.merged = all
 	} else {
-		out.merged = eliminate(all, g.doms, g.noKernel)
+		out.merged = eliminate(all, g.doms)
 	}
 	return out, nil
 }
@@ -319,9 +318,7 @@ func (g *gather) candidates(shard int, resp *serve.QueryResponse) ([]candidate, 
 // skipped because each shard's list is already a skyline). Equal
 // points never dominate each other, so duplicated rows survive
 // together, matching single-node semantics. Order is preserved.
-// noKernel selects the scalar reference pass — the kernel-off leg of
-// the differential harness, end to end through the coordinator.
-func eliminate(cands []candidate, doms []*poset.Domain, noKernel bool) []candidate {
+func eliminate(cands []candidate, doms []*poset.Domain) []candidate {
 	if len(cands) == 0 {
 		return nil
 	}
@@ -331,12 +328,7 @@ func eliminate(cands []candidate, doms []*poset.Domain, noKernel bool) []candida
 		pts[i] = cands[i].pt
 		shards[i] = cands[i].shard
 	}
-	var keep []int
-	if noKernel {
-		keep = core.MergeSurvivorsRef(doms, pts, shards, runtime.GOMAXPROCS(0))
-	} else {
-		keep = core.MergeSurvivors(doms, pts, shards, runtime.GOMAXPROCS(0))
-	}
+	keep := core.MergeSurvivors(doms, pts, shards, runtime.GOMAXPROCS(0))
 	out := make([]candidate, len(keep))
 	for k, i := range keep {
 		out[k] = cands[i]
@@ -374,12 +366,12 @@ func identityDims(n int) []int {
 // contract end to end.
 func (co *Coordinator) Query(ctx context.Context, ct *ctable, req serve.QueryRequest) (*serve.QueryResponse, error) {
 	co.queries.Add(1)
-	if req.PlanMode() {
-		return co.planQuery(ctx, ct, req)
+	planMode, err := req.PlanMode()
+	if err != nil {
+		return nil, err
 	}
-	if req.HasPlanFields() {
-		return nil, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain/noKernel cannot combine with orders/baseline (dynamic queries run dTSS as-is)")
+	if planMode {
+		return co.planQuery(ctx, ct, req)
 	}
 	return co.dynamicQuery(ctx, ct, req)
 }
@@ -444,7 +436,7 @@ func (co *Coordinator) planQuery(ctx context.Context, ct *ctable, req serve.Quer
 	}
 	g := &gather{
 		ct: ct, keptTO: keptTO, keptPO: keptPO, doms: doms,
-		stats: stats, noKernel: req.NoKernel,
+		stats: stats,
 		// Min-corner pruning is unsound for union rankings: a dominated
 		// shard's rows are past layer 1, not past layer K.
 		prune:  len(co.shards) > 1 && unionRanker == nil,
@@ -528,7 +520,7 @@ func (co *Coordinator) rank(ctx context.Context, ct *ctable, g *gather, req serv
 			for i := range merged {
 				rows[i] = plan.WireRow{TO: merged[i].row.TO, PO: merged[i].pt.PO}
 			}
-			scores = s.WireScores(g.wireContext(&q, req.NoKernel), rows)
+			scores = s.WireScores(g.wireContext(&q), rows)
 		case plan.PartialScorer:
 			parts, err := co.scatterPartials(ctx, ct, g, req, merged)
 			if err != nil {
@@ -550,8 +542,8 @@ func (co *Coordinator) rank(ctx context.Context, ct *ctable, g *gather, req serv
 }
 
 // wireContext assembles the coordinator-side scoring context.
-func (g *gather) wireContext(q *plan.Query, noKernel bool) *plan.WireContext {
-	return &plan.WireContext{Query: q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms, NoKernel: noKernel}
+func (g *gather) wireContext(q *plan.Query) *plan.WireContext {
+	return &plan.WireContext{Query: q, KeptTO: g.keptTO, KeptPO: g.keptPO, Doms: g.doms}
 }
 
 // scatterPartials fans the merged candidates out to every shard for
@@ -593,7 +585,7 @@ func rankUnion(g *gather, ur plan.UnionRanker, q *plan.Query, k int, merged []ca
 	for i := range merged {
 		pts[i] = merged[i].pt
 	}
-	scores, keep := ur.RankUnion(g.wireContext(q, g.noKernel), pts, k)
+	scores, keep := ur.RankUnion(g.wireContext(q), pts, k)
 	kept := make([]candidate, 0, len(merged))
 	keptScores := make([]float64, 0, len(merged))
 	for i := range merged {

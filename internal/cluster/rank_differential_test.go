@@ -67,15 +67,13 @@ func (tc *testCluster) sweepRankings(phase string, union []serve.RowSpec) {
 	// dp-idp: rank-equal by independently recomputed scores.
 	scores := dpidpOracle(union)
 	const k = 7
-	for _, nk := range []bool{false, true} {
-		req := serve.QueryRequest{TopK: k, Rank: "dpidp", NoKernel: nk}
-		cluster := tc.query(tc.co.URL, "diff", req)
-		single := tc.query(tc.single.URL, "diff", req)
-		name := fmt.Sprintf("%s/dpidp(nokernel=%v)", phase, nk)
-		if len(cluster.Skyline) != len(single.Skyline) {
-			tc.t.Errorf("%s: cluster %d rows, single %d", name, len(cluster.Skyline), len(single.Skyline))
-			continue
-		}
+	req := serve.QueryRequest{TopK: k, Rank: "dpidp"}
+	cluster := tc.query(tc.co.URL, "diff", req)
+	single := tc.query(tc.single.URL, "diff", req)
+	name := phase + "/dpidp"
+	if len(cluster.Skyline) != len(single.Skyline) {
+		tc.t.Errorf("%s: cluster %d rows, single %d", name, len(cluster.Skyline), len(single.Skyline))
+	} else {
 		for i := range cluster.Skyline {
 			ck, sk := rowKey(&cluster.Skyline[i]), rowKey(&single.Skyline[i])
 			cs, cok := scores[ck]

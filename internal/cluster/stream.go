@@ -82,13 +82,13 @@ func (co *Coordinator) HandleQueryStream(w http.ResponseWriter, r *http.Request,
 	if limit == 0 {
 		limit = req.Limit
 	}
-	if req.PlanMode() {
-		co.streamPlanQuery(w, r, ct, req, limit)
+	planMode, err := req.PlanMode()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.HasPlanFields() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain cannot combine with orders/baseline (dynamic queries run dTSS as-is)"))
+	if planMode {
+		co.streamPlanQuery(w, r, ct, req, limit)
 		return
 	}
 	co.streamDynamicQuery(w, r, ct, req, limit)

@@ -39,7 +39,7 @@ func NewSTSSCursor(ds *Dataset, opt Options) *Cursor {
 	}
 	buildStart := time.Now()
 	c.tree = buildSTSSTree(ds, opt, c.io)
-	if opt.UseDyadic {
+	if !opt.NoDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}

@@ -93,10 +93,10 @@ func idsEqual(a, b []int32) bool {
 // registered algorithm — sequential and behind the partition-and-merge
 // executor at P ∈ {1, 4}, across the dominance-kernel configurations
 // (bitset closure, closure refused by a too-small budget, closure
-// disabled, kernel off entirely) — must return exactly the naive O(n²)
-// oracle's skyline on any byte-derived workload, and TO-only
-// algorithms must reject PO datasets with an error rather than a wrong
-// answer. Runs its seed corpus (testdata/fuzz/…) under plain `go
+// disabled) and on the scalar references the kernel replaced — must
+// return exactly the naive O(n²) oracle's skyline on any byte-derived
+// workload, and TO-only algorithms must reject PO datasets with an
+// error rather than a wrong answer. Runs its seed corpus (testdata/fuzz/…) under plain `go
 // test`; explore further with
 //
 //	go test -run='^$' -fuzz=FuzzSkylineAgreement ./internal/core
@@ -131,8 +131,10 @@ func FuzzSkylineAgreement(f *testing.F) {
 				{"noclosure", func() (*Result, error) {
 					return a.Run(ds, Options{UseMemTree: true, ClosureBudget: -1})
 				}},
+				// Kernel off: bnl, sfs, salsa and less on their scalar
+				// references (scalar_test.go).
 				{"nokernel", func() (*Result, error) {
-					return a.Run(ds, Options{UseMemTree: true, NoKernel: true})
+					return scalarRun(a)(ds, Options{UseMemTree: true})
 				}},
 				{"P=1", func() (*Result, error) {
 					return Parallel(a).Run(ds, Options{UseMemTree: true, Parallelism: 1})
@@ -140,8 +142,11 @@ func FuzzSkylineAgreement(f *testing.F) {
 				{"P=4", func() (*Result, error) {
 					return Parallel(a).Run(ds, Options{UseMemTree: true, Parallelism: 4})
 				}},
+				// Scalar local skylines of the same 4 partitions, merged
+				// by the all-pairs reference merge.
 				{"P=4/nokernel", func() (*Result, error) {
-					return Parallel(a).Run(ds, Options{UseMemTree: true, Parallelism: 4, NoKernel: true})
+					ids, err := parallelScalar(ds, scalarRun(a), Options{UseMemTree: true}, 4)
+					return &Result{SkylineIDs: ids}, err
 				}},
 			}
 			for _, rn := range runs {

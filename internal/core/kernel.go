@@ -27,8 +27,9 @@ import (
 //     a dominator (or, for evictions, a dominated member) — the
 //     intra-node analog of the cluster's min-corner shard pruning.
 //
-// Options.NoKernel forces the scalar *Point/interval reference path,
-// which remains the correctness oracle the kernel is fuzzed against.
+// Every production elimination pass runs on the kernel. The scalar
+// *Point/interval loops it replaced live on in the package's tests
+// (scalar_test.go) as the oracles the kernel is fuzzed against.
 
 // kernelBlock is the zone-map block size. 256 members = 4 mask words:
 // small enough that min-corner summaries stay tight, large enough that

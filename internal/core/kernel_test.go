@@ -44,8 +44,8 @@ func TestColSetCompactInterleaved(t *testing.T) {
 	}
 }
 
-// TestMergeSurvivorsKernelMatchesRef: the kernel merge pass and its
-// scalar reference answer identically — same survivor indexes, and the
+// TestMergeSurvivorsKernelMatchesRef: the kernel merge pass and the
+// all-pairs scalar reference merge answer identically — same survivor indexes, and the
 // survivor set is exactly the global skyline — for random shardings
 // where each shard contributes its own local skyline (the precondition
 // cluster shard responses satisfy by construction).
@@ -80,7 +80,7 @@ func TestMergeSurvivorsKernelMatchesRef(t *testing.T) {
 		}
 
 		got := MergeSurvivors(ds.Domains, pts, shard, workers)
-		ref := MergeSurvivorsRef(ds.Domains, pts, shard, workers)
+		ref := mergeSurvivorsScalar(ds.Domains, pts, shard, workers)
 		if len(got) != len(ref) {
 			t.Logf("seed=%d: kernel kept %d, reference kept %d", seed, len(got), len(ref))
 			return false

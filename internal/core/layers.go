@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-
-	"repro/internal/poset"
-)
+import "repro/internal/poset"
 
 // LayersUnder assigns every point its skyline-layer depth under the
 // given domains: layer 1 is the skyline of pts, layer i the skyline of
@@ -17,16 +13,13 @@ import (
 //
 // Each peel is one full STSS run over the remaining points — the
 // sort-based elimination scales far past the all-pairs merge kernel on
-// whole tables (the early layers see every row); noKernel selects the
-// scalar reference elimination instead, for the differential
-// harnesses.
-func LayersUnder(domains []*poset.Domain, pts []Point, maxLayer int, noKernel bool) []int32 {
+// whole tables (the early layers see every row).
+func LayersUnder(domains []*poset.Domain, pts []Point, maxLayer int) []int32 {
 	layers := make([]int32, len(pts))
 	alive := make([]int, len(pts))
 	for i := range alive {
 		alive[i] = i
 	}
-	workers := runtime.GOMAXPROCS(0)
 	for layer := int32(1); len(alive) > 0; layer++ {
 		if maxLayer > 0 && int(layer) > maxLayer {
 			break
@@ -36,25 +29,9 @@ func LayersUnder(domains []*poset.Domain, pts []Point, maxLayer int, noKernel bo
 			sub[k] = pts[i]
 			sub[k].ID = int32(k)
 		}
-		var keep []int
-		if noKernel {
-			// Distinct tags per candidate so the merge pass skips no
-			// pair: with every "shard" unique the elimination is a plain
-			// skyline.
-			tags := make([]int, len(sub))
-			for k := range tags {
-				tags[k] = k
-			}
-			keep = MergeSurvivorsRef(domains, sub, tags, workers)
-		} else {
-			res := STSS(&Dataset{Domains: domains, Pts: sub}, Options{UseMemTree: true})
-			keep = make([]int, len(res.SkylineIDs))
-			for j, id := range res.SkylineIDs {
-				keep[j] = int(id)
-			}
-		}
+		res := STSS(&Dataset{Domains: domains, Pts: sub}, Options{UseMemTree: true})
 		inLayer := make([]bool, len(alive))
-		for _, k := range keep {
+		for _, k := range res.SkylineIDs {
 			layers[alive[k]] = layer
 			inLayer[k] = true
 		}

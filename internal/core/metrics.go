@@ -27,10 +27,9 @@ type Options struct {
 	// headline experiments run TSS *without* it "for fairness", so it
 	// defaults to off; the ablation benchmarks measure its effect.
 	UseMemTree bool
-	// UseDyadic enables the dyadic-range interval index (paper §IV-B
-	// first optimisation). Default on (cheap, pure win).
-	UseDyadic bool
-	// NoDyadic disables the dyadic index (ablation).
+	// NoDyadic disables the dyadic-range interval index (paper §IV-B
+	// first optimisation), which is on by default (cheap, pure win) —
+	// the ablation switch.
 	NoDyadic bool
 	// StabOnly makes point-level t-dominance checks query only the
 	// interval run containing the candidate value's own postorder
@@ -59,10 +58,6 @@ type Options struct {
 	// small set of low-entropy points pass one screens the stream
 	// against. 0 selects DefaultLESSWindow.
 	LESSWindow int
-	// NoKernel disables the dominance kernel (bitset closure, columnar
-	// elimination, block zone maps), forcing the scalar *Point/interval
-	// reference path — the ablation and differential-harness switch.
-	NoKernel bool
 	// ClosureBudget is the per-domain memory budget in bytes for the
 	// transitive-closure bitset the kernel promotes to the serving
 	// path. 0 selects poset.DefaultClosureBudget; negative disables the
@@ -80,11 +75,6 @@ const DefaultLESSWindow = 16
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = DefaultPageSize
-	}
-	if !o.NoDyadic {
-		o.UseDyadic = true
-	} else {
-		o.UseDyadic = false
 	}
 	if o.LESSWindow == 0 {
 		o.LESSWindow = DefaultLESSWindow

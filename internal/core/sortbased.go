@@ -42,39 +42,9 @@ func SaLSa(ds *Dataset, opt Options) (*Result, error) {
 	}
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
-
-	n := len(ds.Pts)
-	order := make([]int32, n)
-	minK := make([]int64, n)
-	sumK := make([]int64, n)
-	for i := range ds.Pts {
-		order[i] = int32(i)
-		minK[i] = minCoord(ds.Pts[i].TO)
-		sumK[i] = sumInt32(ds.Pts[i].TO)
-	}
-	// Sort by (min coordinate, sum, id): monotone under dominance —
-	// a dominating point has min ≤ and, at equal min, a strictly
-	// smaller sum. Two explicit keys avoid packing overflows.
-	sort.Slice(order, func(a, b int) bool {
-		x, y := order[a], order[b]
-		if minK[x] != minK[y] {
-			return minK[x] < minK[y]
-		}
-		if sumK[x] != sumK[y] {
-			return sumK[x] < sumK[y]
-		}
-		return x < y
-	})
-
-	useKernel := !opt.withDefaults().NoKernel
-	var k *colSet
-	var pr *probe
-	var sky []*Point
-	var checks int64
-	if useKernel {
-		k = newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
-		pr = k.newProbe()
-	}
+	order := salsaOrder(ds)
+	k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
+	pr := k.newProbe()
 	// Stop point: the skyline point minimising its maximum coordinate.
 	stopMax := int64(-1)
 	examined := 0
@@ -86,40 +56,48 @@ func SaLSa(ds *Dataset, opt Options) (*Result, error) {
 			break
 		}
 		examined++
-		dominated := false
-		if useKernel {
-			k.begin(pr, p.TO, p.PO, false)
-			dominated = k.anyDominator(pr)
-		} else {
-			for _, s := range sky {
-				checks++
-				if toDominates(s.TO, p.TO) {
-					dominated = true
-					break
-				}
-			}
-		}
-		if dominated {
+		k.begin(pr, p.TO, p.PO, false)
+		if k.anyDominator(pr) {
 			continue
 		}
-		if useKernel {
-			k.append(p.TO, p.PO, p.ID, -1)
-		} else {
-			sky = append(sky, p)
-		}
+		k.append(p.TO, p.PO, p.ID, -1)
 		res.SkylineIDs = append(res.SkylineIDs, p.ID)
 		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
 		if mx := maxCoord(p.TO); stopMax < 0 || mx < stopMax {
 			stopMax = mx
 		}
 	}
-	res.Metrics.PointsPruned = int64(n - examined) // skipped unexamined
-	res.Metrics.DomChecks = checks
-	if useKernel {
-		pr.addTo(&res.Metrics)
-	}
+	res.Metrics.PointsPruned = int64(len(order) - examined) // skipped unexamined
+	pr.addTo(&res.Metrics)
 	res.Metrics.CPU = clock.elapsed()
 	return res, nil
+}
+
+// salsaOrder returns the indexes of ds.Pts in SaLSa scan order:
+// (min coordinate, sum, index) ascending — monotone under dominance, as
+// a dominating point has min ≤ and, at equal min, a strictly smaller
+// sum. Two explicit keys avoid packing overflows.
+func salsaOrder(ds *Dataset) []int32 {
+	n := len(ds.Pts)
+	order := make([]int32, n)
+	minK := make([]int64, n)
+	sumK := make([]int64, n)
+	for i := range ds.Pts {
+		order[i] = int32(i)
+		minK[i] = minCoord(ds.Pts[i].TO)
+		sumK[i] = sumInt32(ds.Pts[i].TO)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := order[a], order[b]
+		if minK[x] != minK[y] {
+			return minK[x] < minK[y]
+		}
+		if sumK[x] != sumK[y] {
+			return sumK[x] < sumK[y]
+		}
+		return x < y
+	})
+	return order
 }
 
 func minCoord(to []int32) int64 {
@@ -153,22 +131,48 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 	if err := requireTO(ds, "LESS"); err != nil {
 		return nil, err
 	}
+	res := &Result{}
+	clock := newEmitClock(&rtree.IOCounter{})
+	survivors, checks, pruned := lessFilter(ds, opt)
+	res.Metrics.PointsPruned = pruned
+
+	// Pass 2: SFS scan of the sorted survivors. The elimination filter
+	// stays scalar (it is a handful of points); the window scan runs on
+	// the kernel.
+	k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
+	pr := k.newProbe()
+	for _, idx := range survivors {
+		p := &ds.Pts[idx]
+		k.begin(pr, p.TO, p.PO, false)
+		if k.anyDominator(pr) {
+			continue
+		}
+		k.append(p.TO, p.PO, p.ID, -1)
+		res.SkylineIDs = append(res.SkylineIDs, p.ID)
+		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
+	}
+	res.Metrics.DomChecks = checks
+	pr.addTo(&res.Metrics)
+	res.Metrics.CPU = clock.elapsed()
+	return res, nil
+}
+
+// lessFilter is LESS's pass one plus its sort: it streams ds through
+// the elimination-filter window and returns the survivors' indexes
+// sorted by sum, the filter's dominance-check count and the number of
+// points it dropped.
+func lessFilter(ds *Dataset, opt Options) (survivors []int32, checks, pruned int64) {
 	window := opt.withDefaults().LESSWindow
 	if window < 1 {
 		window = DefaultLESSWindow
 	}
-	res := &Result{}
-	clock := newEmitClock(&rtree.IOCounter{})
-	var checks int64
-
-	// Pass 1: elimination filter. ef holds at most `window` points with
-	// the smallest sums seen so far.
+	// ef holds at most `window` points with the smallest sums seen so
+	// far.
 	type efEntry struct {
 		p   *Point
 		sum int64
 	}
 	var ef []efEntry
-	var survivors []int32
 	for i := range ds.Pts {
 		p := &ds.Pts[i]
 		sum := sumInt32(p.TO)
@@ -181,7 +185,7 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 			}
 		}
 		if dominated {
-			res.Metrics.PointsPruned++
+			pruned++
 			continue
 		}
 		survivors = append(survivors, int32(i))
@@ -202,51 +206,10 @@ func LESS(ds *Dataset, opt Options) (*Result, error) {
 		}
 	}
 
-	// Pass 2: sort survivors by sum, then SFS scan. The elimination
-	// filter stays scalar (it is a handful of points); the window scan
-	// runs on the kernel unless opt.NoKernel.
 	key := make([]int64, len(ds.Pts))
 	for _, idx := range survivors {
 		key[idx] = sumInt32(ds.Pts[idx].TO)
 	}
 	sortByKey(survivors, key)
-	if !opt.withDefaults().NoKernel {
-		k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
-		pr := k.newProbe()
-		for _, idx := range survivors {
-			p := &ds.Pts[idx]
-			k.begin(pr, p.TO, p.PO, false)
-			if k.anyDominator(pr) {
-				continue
-			}
-			k.append(p.TO, p.PO, p.ID, -1)
-			res.SkylineIDs = append(res.SkylineIDs, p.ID)
-			res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-		}
-		res.Metrics.DomChecks = checks
-		pr.addTo(&res.Metrics)
-		res.Metrics.CPU = clock.elapsed()
-		return res, nil
-	}
-	var sky []*Point
-	for _, idx := range survivors {
-		p := &ds.Pts[idx]
-		dominated := false
-		for _, s := range sky {
-			checks++
-			if toDominates(s.TO, p.TO) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		sky = append(sky, p)
-		res.SkylineIDs = append(res.SkylineIDs, p.ID)
-		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-	}
-	res.Metrics.DomChecks = checks
-	res.Metrics.CPU = clock.elapsed()
-	return res, nil
+	return survivors, checks, pruned
 }

@@ -25,7 +25,7 @@ func STSS(ds *Dataset, opt Options) *Result {
 	buildStart := time.Now()
 	io := &rtree.IOCounter{}
 	tree := buildSTSSTree(ds, opt, io)
-	if opt.UseDyadic {
+	if !opt.NoDyadic {
 		for _, dm := range ds.Domains {
 			dm.EnableDyadic()
 		}
@@ -117,14 +117,11 @@ func buildSTSSTree(ds *Dataset, opt Options, io *rtree.IOCounter) *rtree.Tree {
 // neither progressive (output happens only at the end) nor precedence-
 // aware; it serves as a simple correct baseline and as the local-
 // skyline substrate of the dTSS pre-processing optimisation. The
-// candidate window runs on the dominance kernel (columnar masked scans
+// candidate window runs on the dominance kernel: columnar masked scans
 // over zone-mapped blocks, with an aliveness mask standing in for
-// eviction) unless opt.NoKernel selects the scalar reference loop.
+// eviction.
 func BNL(ds *Dataset, opt Options) *Result {
 	opt = opt.withDefaults()
-	if opt.NoKernel {
-		return bnlScalar(ds)
-	}
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
 	k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
@@ -152,57 +149,36 @@ func BNL(ds *Dataset, opt Options) *Result {
 	return res
 }
 
-// bnlScalar is the scalar *Point/interval BNL the kernel path is
-// validated against (Options.NoKernel).
-func bnlScalar(ds *Dataset) *Result {
-	res := &Result{}
-	clock := newEmitClock(&rtree.IOCounter{})
-	var cands []*Point
-	var checks int64
-	for i := range ds.Pts {
-		p := &ds.Pts[i]
-		dominated := false
-		keep := cands[:0]
-		for _, c := range cands {
-			if dominated {
-				keep = append(keep, c)
-				continue
-			}
-			checks++
-			if DominatesUnder(ds.Domains, c, p) {
-				dominated = true
-				keep = append(keep, c)
-				continue
-			}
-			checks++
-			if !DominatesUnder(ds.Domains, p, c) {
-				keep = append(keep, c)
-			}
-		}
-		cands = keep
-		if !dominated {
-			cands = append(cands, p)
-		}
-	}
-	for _, c := range cands {
-		res.SkylineIDs = append(res.SkylineIDs, c.ID)
-		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(c.ID))
-	}
-	res.Metrics.DomChecks = checks
-	res.Metrics.CPU = clock.elapsed()
-	return res
-}
-
 // SFS computes the skyline by presorting on a preference function that
 // is monotone under exact dominance — the sum of TO coordinates and
 // topological ordinals — and then scanning with a candidate list
 // (Chomicki et al.). The presort establishes precedence, so accepted
 // points are emitted immediately and never evicted; the grow-only
-// window runs on the dominance kernel unless opt.NoKernel.
+// window runs on the dominance kernel.
 func SFS(ds *Dataset, opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{}
 	clock := newEmitClock(&rtree.IOCounter{})
+	k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
+	pr := k.newProbe()
+	for _, idx := range sfsOrder(ds) {
+		p := &ds.Pts[idx]
+		k.begin(pr, p.TO, p.PO, false)
+		if k.anyDominator(pr) {
+			continue
+		}
+		k.append(p.TO, p.PO, p.ID, -1)
+		res.SkylineIDs = append(res.SkylineIDs, p.ID)
+		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
+	}
+	pr.addTo(&res.Metrics)
+	res.Metrics.CPU = clock.elapsed()
+	return res
+}
+
+// sfsOrder returns the indexes of ds.Pts in SFS scan order: ascending
+// sum of TO coordinates and topological ordinals, ties by index.
+func sfsOrder(ds *Dataset) []int32 {
 	order := make([]int32, len(ds.Pts))
 	key := make([]int64, len(ds.Pts))
 	for i := range ds.Pts {
@@ -217,45 +193,7 @@ func SFS(ds *Dataset, opt Options) *Result {
 		key[i] = s
 	}
 	sortByKey(order, key)
-	if !opt.NoKernel {
-		k := newColSet(ds.Domains, ds.NumTO(), 64, opt.ClosureBudget, false)
-		pr := k.newProbe()
-		for _, idx := range order {
-			p := &ds.Pts[idx]
-			k.begin(pr, p.TO, p.PO, false)
-			if k.anyDominator(pr) {
-				continue
-			}
-			k.append(p.TO, p.PO, p.ID, -1)
-			res.SkylineIDs = append(res.SkylineIDs, p.ID)
-			res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-		}
-		pr.addTo(&res.Metrics)
-		res.Metrics.CPU = clock.elapsed()
-		return res
-	}
-	var checks int64
-	var sky []*Point
-	for _, idx := range order {
-		p := &ds.Pts[idx]
-		dominated := false
-		for _, s := range sky {
-			checks++
-			if DominatesUnder(ds.Domains, s, p) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		sky = append(sky, p)
-		res.SkylineIDs = append(res.SkylineIDs, p.ID)
-		res.Metrics.Emissions = append(res.Metrics.Emissions, clock.emission(p.ID))
-	}
-	res.Metrics.DomChecks = checks
-	res.Metrics.CPU = clock.elapsed()
-	return res
+	return order
 }
 
 // sortByKey sorts order by ascending key, breaking ties by id for

@@ -53,7 +53,7 @@ func (p *Plan) Run(ctx context.Context, ds *core.Dataset, env Env) (*core.Result
 		}
 		observedRows = len(eff.Pts)
 		algo := p.algo
-		opt := core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel}
+		opt := core.Options{UseMemTree: true}
 		if p.shards > 0 {
 			algo = core.Parallel(algo)
 			opt.Parallelism = p.shards
@@ -161,7 +161,7 @@ func (p *Plan) runCursor(ctx context.Context, ds *core.Dataset) (*core.Result, e
 		return nil, err
 	}
 	p.cursorRows = len(eff.Pts)
-	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true, NoKernel: p.Query.Hints.NoKernel})
+	cur := core.NewSTSSCursor(eff, core.Options{UseMemTree: true})
 	res := &core.Result{}
 	for len(res.SkylineIDs) < p.Query.TopK {
 		if len(res.SkylineIDs)%256 == 0 {

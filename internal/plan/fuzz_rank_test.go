@@ -40,8 +40,7 @@ func fuzzRankQuery(r *fuzzReader, ds *core.Dataset) Query {
 // top-k must reproduce the brute-force oracle's exact sequence (scores
 // are bit-identical by construction, ties break by id), and the
 // F-dominance restricted skyline must match the oracle's
-// vertex-decided member set — cold, through the scalar reference
-// kernel, and behind a warm memo. When the shape admits the score
+// vertex-decided member set — cold and behind a warm memo. When the shape admits the score
 // index, the index advanced across a random mutation must equal a
 // from-scratch rebuild, histogram by histogram. Explore further with
 //
@@ -129,11 +128,6 @@ func FuzzRankAgreement(f *testing.F) {
 
 		env := Env{Learned: NewLearned()}
 		run("auto", q, env)
-		{
-			fq := q
-			fq.Hints.NoKernel = true
-			run("nokernel", fq, env)
-		}
 		// Memo leg: a real MemoCache so index-eligible dp-idp shapes
 		// exercise cold-build + index-served runs back to back.
 		cenv := Env{Learned: NewLearned(), Cache: NewMemoCache()}

@@ -241,13 +241,6 @@ func FuzzPlanAgreement(f *testing.F) {
 
 		env := Env{Learned: NewLearned()}
 		run("auto", q, env, false)
-		{
-			// Kernel ablation: the scalar/interval reference path must
-			// plan and answer identically.
-			fq := q
-			fq.Hints.NoKernel = true
-			run("nokernel", fq, env, false)
-		}
 		for _, a := range core.Algorithms() {
 			fq := q
 			fq.Hints.Algorithm = a.Name()

@@ -79,9 +79,8 @@ type Explain struct {
 	RankedFrom string `json:"rankedFrom,omitempty"`
 	// Kernel names the dominance-kernel configuration the run's
 	// elimination loops use: "bitset+columnar" (closure bitsets fit the
-	// memory budget on every kept PO domain), "columnar" (columnar scans
-	// with interval/ordinal fallback per dominance test), or "interval"
-	// (Hints.NoKernel scalar reference path).
+	// memory budget on every kept PO domain) or "columnar" (columnar
+	// scans with interval/ordinal fallback per dominance test).
 	Kernel string `json:"kernel,omitempty"`
 
 	// ObservedRows counts the rows the executor actually fed an
@@ -312,7 +311,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 	// Dominance-kernel selection, reported up front so Explain shows
 	// which elimination path the run will take and so the cost model can
 	// discount PO dominance work when the closure bitsets apply.
-	p.Explain.Kernel = kernelLabel(ds, p.keptPO, q.Hints.NoKernel)
+	p.Explain.Kernel = kernelLabel(ds, p.keptPO)
 
 	// Algorithm choice: capability-gated cost minimization, unless
 	// forced. A projection that drops every PO column widens the field
@@ -363,10 +362,7 @@ func New(ds *core.Dataset, q Query, env Env) (*Plan, error) {
 // transitive-closure bitset of every kept PO domain fits the default
 // memory budget; otherwise the columnar loops fall back to interval or
 // ordinal dominance tests per probe.
-func kernelLabel(ds *core.Dataset, keptPO []int, noKernel bool) string {
-	if noKernel {
-		return "interval"
-	}
+func kernelLabel(ds *core.Dataset, keptPO []int) string {
 	if len(keptPO) == 0 {
 		return "columnar"
 	}

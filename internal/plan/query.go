@@ -165,10 +165,6 @@ type Hints struct {
 	Route Route
 	// NoCache skips the full-skyline cache on both read and write.
 	NoCache bool
-	// NoKernel disables the dominance kernel (bitset closure, columnar
-	// elimination, block zone maps), forcing the scalar reference path —
-	// the ablation and differential-harness switch (core.Options.NoKernel).
-	NoKernel bool
 }
 
 // Query is a logical skyline query. The zero value asks for the full

@@ -280,12 +280,7 @@ func (layerRanker) Rank(ctx context.Context, sc *ScoreContext, ids []int32, k in
 // deeper layers peel the residual with the plan's cost-chosen
 // algorithm — the same elimination a cold query would run, minus the
 // re-plan and table rebuild a client peeling by hand pays per layer.
-// The scalar reference path (NoKernel) stays on core.LayersUnder for
-// the differential harnesses.
 func peelFrom(ctx context.Context, doms []*poset.Domain, rows []core.Point, sky []int32, k int, sc *ScoreContext) ([]int32, error) {
-	if sc.Query.Hints.NoKernel {
-		return core.LayersUnder(doms, rows, k, true), nil
-	}
 	layers := make([]int32, len(rows))
 	seed := make(map[int32]bool, len(sky))
 	for _, id := range sky {
@@ -359,7 +354,7 @@ func (layerRanker) OracleRank(oc *OracleContext, sky []int32, k int) []int32 {
 // RankUnion re-layers the un-eliminated union of shard-local layer
 // results on the coordinator; rows deeper than k are dropped.
 func (layerRanker) RankUnion(wc *WireContext, pts []core.Point, k int) ([]float64, []bool) {
-	layers := core.LayersUnder(wc.Doms, pts, k, wc.NoKernel)
+	layers := core.LayersUnder(wc.Doms, pts, k)
 	scores := make([]float64, len(pts))
 	keep := make([]bool, len(pts))
 	for i, l := range layers {

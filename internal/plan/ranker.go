@@ -97,11 +97,10 @@ type WireRow struct {
 // WireContext is the coordinator-side scoring context: the query, the
 // kept dimensions, and the kept PO domains of the merged table schema.
 type WireContext struct {
-	Query    *Query
-	KeptTO   []int
-	KeptPO   []int
-	Doms     []*poset.Domain
-	NoKernel bool
+	Query  *Query
+	KeptTO []int
+	KeptPO []int
+	Doms   []*poset.Domain
 }
 
 // KHist is the wire form of one candidate's k-histogram: parallel

@@ -119,7 +119,7 @@ func (sc *Schema) PlanQuery(req QueryRequest) (plan.Query, error) {
 		Rank:     plan.Rank(req.Rank),
 		Ideal:    req.Ideal,
 		FWeights: req.FWeights,
-		Hints:    plan.Hints{Algorithm: req.Algo, Parallelism: par, NoKernel: req.NoKernel, NoCache: req.NoCache},
+		Hints:    plan.Hints{Algorithm: req.Algo, Parallelism: par, NoCache: req.NoCache},
 	}
 	if len(req.Subspace) > 0 {
 		s := &plan.Subspace{}

@@ -397,17 +397,22 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
-// Handler returns the HTTP API:
+// Handler returns the HTTP API (TestHandlerRoutesMatchDoc keeps this
+// table and the mux in step):
 //
-//	GET    /healthz                     liveness
-//	GET    /statsz                      catalog + traffic statistics
-//	GET    /tables                      list tables
-//	POST   /tables                      create a table (TableSpec)
-//	GET    /tables/{name}               table info
-//	DELETE /tables/{name}               drop a table
-//	GET    /tables/{name}/skyline       static skyline (?algo=, ?parallel=, ?limit=)
-//	POST   /tables/{name}/rows:batch    batched mutation (BatchRequest)
-//	POST   /tables/{name}/query         dynamic query (QueryRequest)
+//	GET    /healthz                           liveness
+//	GET    /statsz                            catalog + traffic statistics
+//	GET    /tables                            list tables
+//	POST   /tables                            create a table (TableSpec)
+//	GET    /tables/{name}                     table info
+//	DELETE /tables/{name}                     drop a table
+//	GET    /tables/{name}/skyline             static skyline (?algo=, ?parallel=, ?limit=, ?stream=1)
+//	GET    /tables/{name}/stats               planner statistics (TableStatsInfo)
+//	POST   /tables/{name}/rows:batch          batched mutation (BatchRequest)
+//	POST   /tables/{name}/query               planned or dynamic query (QueryRequest, ?stream=1)
+//	POST   /tables/{name}/domcount            per-shard partial ranking scores (DomCountRequest)
+//	GET    /tables/{name}/replica/snapshot    replication seed: the serving snapshot
+//	GET    /tables/{name}/replica/log         replication tail: WAL frames past ?after=V
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -621,15 +626,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, e *tableEnt
 		s.handleQueryStream(w, r, e, req)
 		return
 	}
-	if req.PlanMode() {
-		s.handlePlanQuery(w, r, e, req)
+	planMode, err := req.PlanMode()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A request that mixes both modes would otherwise silently drop its
-	// planner fields — refuse instead.
-	if req.HasPlanFields() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain/noKernel cannot combine with orders/baseline (dynamic queries run dTSS as-is)"))
+	if planMode {
+		s.handlePlanQuery(w, r, e, req)
 		return
 	}
 	// Refuse work whose budget already expired while the request was

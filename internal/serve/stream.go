@@ -182,18 +182,18 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, e *ta
 	snap := e.current()
 	header := StreamRecord{Type: "header", Table: e.name, Version: snap.version, Rows: snap.table.Len()}
 
-	if req.PlanMode() {
+	planMode, err := req.PlanMode()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if planMode {
 		q, err := e.planQuery(req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		s.streamPlanQuery(w, r, e, snap, q, req.Explain, limit, header)
-		return
-	}
-	if req.HasPlanFields() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf(
-			"subspace/where/topK/rank/algo/parallel/explain/noKernel cannot combine with orders/baseline (dynamic queries run dTSS as-is)"))
 		return
 	}
 	if req.Baseline && req.Ideal != nil {

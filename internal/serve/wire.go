@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+
 	"repro/internal/core"
 	"repro/internal/plan"
 )
@@ -229,11 +231,6 @@ type QueryRequest struct {
 	// tssquery -parallel flag.
 	Parallel int  `json:"parallel,omitempty"`
 	Explain  bool `json:"explain,omitempty"`
-	// NoKernel forces the scalar (interval) dominance path instead of the
-	// bitset/columnar kernel — the server-side ablation and differential-
-	// harness switch. A coordinator forwards it to its shards and uses the
-	// scalar reference merge.
-	NoKernel bool `json:"noKernel,omitempty"`
 	// NoCache bypasses the snapshot's skyline memo (cold recompute) —
 	// the differential switch for verifying maintained memo entries
 	// against recomputation.
@@ -244,16 +241,28 @@ type QueryRequest struct {
 func (r *QueryRequest) HasPlanFields() bool {
 	return len(r.Subspace) > 0 || len(r.Where) > 0 || r.TopK > 0 || r.Rank != "" ||
 		len(r.FWeights) > 0 ||
-		r.Algo != "" || r.Parallel != 0 || r.Explain || r.NoKernel || r.NoCache
+		r.Algo != "" || r.Parallel != 0 || r.Explain || r.NoCache
 }
+
+// errMixedModes refuses a request that sets any HasPlanFields field
+// next to orders/baseline: answering it would silently drop one half.
+var errMixedModes = errors.New("subspace/where/topK/rank/fweights/algo/parallel/explain/noCache " +
+	"cannot combine with orders/baseline (dynamic queries run dTSS as-is)")
 
 // PlanMode reports whether the request takes the planner path: no
 // per-request preference DAGs, and at least one planner-mode field (a
-// bare `{}` keeps its historical dTSS meaning). Mixing orders with
-// planner fields is rejected by the handler rather than silently
-// ignoring either half.
-func (r *QueryRequest) PlanMode() bool {
-	return len(r.Orders) == 0 && !r.Baseline && r.HasPlanFields()
+// bare `{}` keeps its historical dTSS meaning). A request that mixes
+// orders/baseline with planner fields is an error — the same one on
+// every route, node and coordinator, buffered and streamed — rather
+// than silently ignoring either half.
+func (r *QueryRequest) PlanMode() (bool, error) {
+	if !r.HasPlanFields() {
+		return false, nil
+	}
+	if len(r.Orders) > 0 || r.Baseline {
+		return false, errMixedModes
+	}
+	return true, nil
 }
 
 // SkylineRow is one skyline member with its snapshot-scoped row index
